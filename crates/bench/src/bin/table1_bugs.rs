@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use coddb::bugs::{BugId, BugKind, BugRegistry};
 use coddb::Dialect;
-use coddtest::runner::{attribute_bugs, run_campaign, CampaignConfig};
+use coddtest::runner::{attribute_bugs, run_campaign, AttributionStats, CampaignConfig};
 use coddtest_bench::{arg_budget, arg_seed, Table};
 
 fn paper_counts(d: Dialect) -> (usize, usize, usize, usize) {
@@ -42,6 +42,7 @@ fn main() {
         "paper (L/I/C/H)",
     ]);
     let mut grand_total = 0usize;
+    let mut attribution = AttributionStats::default();
 
     for dialect in Dialect::ALL {
         let cfg = CampaignConfig {
@@ -52,7 +53,9 @@ fn main() {
         };
         let mut oracle = coddtest::make_oracle("codd").expect("codd oracle");
         let mut result = run_campaign(oracle.as_mut(), &cfg);
-        attribute_bugs(&mut result, &cfg, "codd");
+        let stats = attribute_bugs(&mut result, &cfg, "codd");
+        attribution.replays += stats.replays;
+        attribution.replayed_tests += stats.replayed_tests;
 
         let unique: BTreeSet<BugId> = result.unique_attributed_bugs();
         let count = |k: BugKind| unique.iter().filter(|b| b.kind() == k).count();
@@ -91,4 +94,8 @@ fn main() {
     }
     table.print();
     println!("\ntotal unique bugs found: {grand_total} (paper: 45)");
+    println!(
+        "attribution: {} state replays, {} replayed tests",
+        attribution.replays, attribution.replayed_tests
+    );
 }

@@ -52,6 +52,31 @@
 //! and the ascending merge stops at exactly the finding the sequential
 //! runner would have stopped at.
 //!
+//! # Attribution
+//!
+//! [`attribute_bugs`] replays findings under each enabled mutant alone. A
+//! job is one *(finding-bearing state, enabled mutant)* pair: it
+//! regenerates and applies the state once under that mutant, replays the
+//! state's tests `0..=t_max` (`t_max` being the state's largest finding
+//! index) and reads the outcome at every finding index of the state. This
+//! equals one [`rerun_test`] per finding because the replay is
+//! seed-deterministic and a replay to test `t` is a prefix of a replay to
+//! any `t' > t` — earlier tests may mutate DQE-style private tables, which
+//! is why a rerun replays the whole prefix in the first place. A state
+//! with `k` findings is thus set up once per mutant instead of `k` times.
+//! Attributions are written back in `(finding, enabled-mutant)` order, so
+//! the result is identical at any thread count.
+//!
+//! Replays follow [`run_state`]'s panic rule: a test that panics counts as
+//! reproduced at its own index (the campaign records it as a `Crash`
+//! finding there), and every later index of that state reports false,
+//! because the campaign abandons a state after a panic too. A state whose
+//! setup fails under the mutant reproduces at every index.
+//!
+//! The [`state_seed`]/[`test_seed`] reproduction contract is unchanged:
+//! [`rerun_test`] still re-derives any single `(state_idx, test_idx)`
+//! coordinate and is the one-index case of the same replay loop.
+//!
 //! # Table 3 accounting
 //!
 //! `successful_queries`/`unsuccessful_queries` count every query issued
@@ -705,7 +730,8 @@ pub fn run_campaign_parallel(
 }
 
 /// Re-run one specific campaign test under a given mutant configuration;
-/// returns whether it reports a bug.
+/// returns whether it reports a bug (a panic or a failed state setup
+/// counts as one — see the module docs' Attribution section).
 pub fn rerun_test(
     oracle_name: &str,
     cfg: &CampaignConfig,
@@ -713,47 +739,92 @@ pub fn rerun_test(
     test_idx: u64,
     bugs: &BugRegistry,
 ) -> bool {
-    let Some(mut oracle) = make_oracle(oracle_name) else {
-        return false;
+    replay_state(oracle_name, cfg, state_idx, &[test_idx], bugs).0[0]
+}
+
+/// The one attribution replay loop: regenerate state `state_idx`, apply it
+/// under `bugs`, replay its tests through the largest of `test_idxs`, and
+/// report for each requested index whether that test reported a bug.
+/// Also returns how many oracle tests actually ran.
+///
+/// A setup failure reproduces at every index (the mutant broke the state
+/// itself, e.g. an internal error in INSERT evaluation). A panic counts as
+/// a bug at its own index and ends the replay — later indices stay false —
+/// exactly as [`run_state`] records a `Crash` finding and abandons the
+/// state. An unknown oracle reproduces nothing.
+fn replay_state(
+    oracle_name: &str,
+    cfg: &CampaignConfig,
+    state_idx: u64,
+    test_idxs: &[u64],
+    bugs: &BugRegistry,
+) -> (Vec<bool>, u64) {
+    let mut hits = vec![false; test_idxs.len()];
+    let (Some(mut oracle), Some(&last)) = (make_oracle(oracle_name), test_idxs.iter().max()) else {
+        return (hits, 0);
     };
     let mut srng = StdRng::seed_from_u64(state_seed(cfg.seed, state_idx));
     let (stmts, schema) = generate_state(&mut srng, cfg.dialect, &cfg.gen);
     let mut db = Database::with_bugs(cfg.dialect, bugs.clone());
     if apply_state(&mut db, &stmts).is_err() {
-        // State setup itself fails under this mutant: the mutant is
-        // responsible (e.g. an internal error in INSERT evaluation).
-        return true;
+        hits.fill(true);
+        return (hits, 0);
     }
     let mut session = Session::new(&mut db);
-    // Replay the *whole* state's tests up to and including the target:
-    // earlier tests may have mutated the DQE-style private tables.
-    for t in 0..=test_idx {
+    // Replay the *whole* prefix, not just the requested tests: earlier
+    // tests may have mutated the DQE-style private tables.
+    let mut tests = 0u64;
+    for t in 0..=last {
         let mut trng = StdRng::seed_from_u64(test_seed(cfg.seed, state_idx, t));
-        let outcome = oracle.run_one(&mut session, &schema, &mut trng);
-        if t == test_idx {
-            return outcome.is_bug();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            oracle.run_one(&mut session, &schema, &mut trng)
+        }));
+        tests += 1;
+        let bug = run.as_ref().map_or(true, TestOutcome::is_bug);
+        for (hit, _) in hits.iter_mut().zip(test_idxs).filter(|(_, &i)| i == t) {
+            *hit = bug;
+        }
+        if run.is_err() {
+            // The unwound engine may hold a half-applied statement.
+            break;
         }
     }
-    false
+    (hits, tests)
+}
+
+/// Work an attribution pass did, counted as it ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AttributionStats {
+    /// State replays: one per (finding-bearing state, enabled mutant).
+    pub replays: u64,
+    /// Oracle tests those replays ran.
+    pub replayed_tests: u64,
 }
 
 /// Attribute every finding of a campaign to the injected mutant(s) that
 /// reproduce it when enabled alone.
-pub fn attribute_bugs(result: &mut CampaignResult, cfg: &CampaignConfig, oracle_name: &str) {
-    attribute_bugs_parallel(result, cfg, oracle_name, 1);
+pub fn attribute_bugs(
+    result: &mut CampaignResult,
+    cfg: &CampaignConfig,
+    oracle_name: &str,
+) -> AttributionStats {
+    attribute_bugs_parallel(result, cfg, oracle_name, 1)
 }
 
-/// [`attribute_bugs`] fanned out across `threads` workers: every
-/// `(finding, mutant)` re-run is an independent seed-deterministic replay,
-/// so workers pull jobs from a shared counter and the attributions are
-/// written back in the same `(finding, enabled-mutant)` order the
-/// sequential version produces — identical output at any thread count.
+/// [`attribute_bugs`] fanned out across `threads` workers. Each job
+/// replays one finding-bearing state under one enabled mutant and reads
+/// the outcome at every finding index of that state (see the module docs'
+/// Attribution section for why that equals one rerun per finding). Jobs
+/// are independent seed-deterministic replays, so workers pull them from
+/// a shared counter, and the attributions are written back in the same
+/// `(finding, enabled-mutant)` order the sequential version produces —
+/// identical output at any thread count.
 pub fn attribute_bugs_parallel(
     result: &mut CampaignResult,
     cfg: &CampaignConfig,
     oracle_name: &str,
     threads: usize,
-) {
+) -> AttributionStats {
     /// One mutant to replay a finding under — engine (Table 1) and
     /// recovery-path schemes attribute through the same machinery but
     /// stay in separate result lists.
@@ -783,46 +854,73 @@ pub fn attribute_bugs_parallel(
         .chain(cfg.bugs.enabled_index().map(Mutant::Index))
         .chain(cfg.bugs.enabled_media().map(Mutant::Media))
         .collect();
-    let coords: Vec<(u64, u64)> = result
-        .findings
-        .iter()
-        .map(|f| (f.state_idx, f.test_idx))
-        .collect();
-    let jobs: Vec<(usize, Mutant)> = coords
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, _)| enabled.iter().map(move |&bug| (fi, bug)))
-        .collect();
+    // Findings grouped by state: `states[g]` is a state index with its
+    // findings' test indices, and `slot[fi]` is finding `fi`'s group and
+    // position in that group's index list.
+    let mut states: Vec<(u64, Vec<u64>)> = Vec::new();
+    let mut group_of: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut slot: Vec<(usize, usize)> = Vec::with_capacity(result.findings.len());
+    for f in &result.findings {
+        let g = *group_of.entry(f.state_idx).or_insert_with(|| {
+            states.push((f.state_idx, Vec::new()));
+            states.len() - 1
+        });
+        let idxs = &mut states[g].1;
+        idxs.push(f.test_idx);
+        slot.push((g, idxs.len() - 1));
+    }
+    // Job `j` replays state group `j / enabled.len()` under mutant
+    // `j % enabled.len()`.
+    let jobs = states.len() * enabled.len();
 
     let next_job = AtomicUsize::new(0);
-    let hits: Vec<std::sync::atomic::AtomicBool> = jobs
-        .iter()
-        .map(|_| std::sync::atomic::AtomicBool::new(false))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let j = next_job.fetch_add(1, Ordering::Relaxed);
-                let Some(&(fi, bug)) = jobs.get(j) else {
-                    break;
-                };
-                let (state_idx, test_idx) = coords[fi];
-                if rerun_test(oracle_name, cfg, state_idx, test_idx, &bug.registry()) {
-                    hits[j].store(true, Ordering::Relaxed);
-                }
-            });
-        }
+    let done: Vec<(usize, Vec<bool>, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let j = next_job.fetch_add(1, Ordering::Relaxed);
+                        if j >= jobs {
+                            break done;
+                        }
+                        let (state_idx, test_idxs) = &states[j / enabled.len()];
+                        let bugs = enabled[j % enabled.len()].registry();
+                        let (hits, tests) =
+                            replay_state(oracle_name, cfg, *state_idx, test_idxs, &bugs);
+                        done.push((j, hits, tests));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("replay_state catches oracle panics"))
+            .collect()
     });
-    for (j, &(fi, bug)) in jobs.iter().enumerate() {
-        if hits[j].load(Ordering::Relaxed) {
-            match bug {
-                Mutant::Engine(b) => result.findings[fi].attributed.push(b),
-                Mutant::Recovery(b) => result.findings[fi].attributed_recovery.push(b),
-                Mutant::Index(b) => result.findings[fi].attributed_index.push(b),
-                Mutant::Media(b) => result.findings[fi].attributed_media.push(b),
+
+    let mut stats = AttributionStats {
+        replays: jobs as u64,
+        replayed_tests: 0,
+    };
+    let mut outcomes: Vec<Vec<bool>> = vec![Vec::new(); jobs];
+    for (j, hits, tests) in done {
+        outcomes[j] = hits;
+        stats.replayed_tests += tests;
+    }
+    for (finding, &(g, k)) in result.findings.iter_mut().zip(&slot) {
+        for (m, &bug) in enabled.iter().enumerate() {
+            if outcomes[g * enabled.len() + m][k] {
+                match bug {
+                    Mutant::Engine(b) => finding.attributed.push(b),
+                    Mutant::Recovery(b) => finding.attributed_recovery.push(b),
+                    Mutant::Index(b) => finding.attributed_index.push(b),
+                    Mutant::Media(b) => finding.attributed_media.push(b),
+                }
             }
         }
     }
+    stats
 }
 
 /// Convenience: can `oracle_name` detect `bug` within `budget` tests?
@@ -1292,6 +1390,50 @@ mod tests {
         let result = run_campaign(oracle.as_mut(), &cfg);
         assert!(result.findings.is_empty(), "{:#?}", result.findings);
         assert_eq!(result.tests_run, 60);
+    }
+
+    /// Attribution keeps `run_state`'s panic isolation: replaying a crash
+    /// finding under a mutant neither tears down `attribute_bugs` nor
+    /// loses the finding. The panic reproduces at its own index, and every
+    /// later index of the state reports false.
+    #[test]
+    fn attribution_replays_isolate_panics() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let bug = BugId::for_dialect(Dialect::Sqlite)[0];
+        let cfg = CampaignConfig {
+            bugs: BugRegistry::only(bug),
+            tests: 200,
+            ..CampaignConfig::new(Dialect::Sqlite)
+        };
+        let mut oracle = make_oracle("panic-probe").unwrap();
+        let mut result = run_campaign(oracle.as_mut(), &cfg);
+        let stats = attribute_bugs_parallel(&mut result, &cfg, "panic-probe", 2);
+        let first = result.findings.first().cloned();
+        let replay = first.as_ref().map(|f| {
+            replay_state(
+                "panic-probe",
+                &cfg,
+                f.state_idx,
+                &[f.test_idx + 1, f.test_idx, 0],
+                &cfg.bugs,
+            )
+        });
+        let rerun = first
+            .as_ref()
+            .map(|f| rerun_test("panic-probe", &cfg, f.state_idx, f.test_idx, &cfg.bugs));
+        std::panic::set_hook(prev);
+
+        let f = first.expect("probe never panicked");
+        assert!(result
+            .findings
+            .iter()
+            .all(|f| f.report.kind == ReportKind::Crash && f.attributed == [bug]));
+        assert_eq!(stats.replays, result.findings.len() as u64);
+        let (hits, tests) = replay.unwrap();
+        assert_eq!(hits, [false, true, f.test_idx == 0]);
+        assert_eq!(tests, f.test_idx + 1, "the replay stops at the panic");
+        assert_eq!(rerun, Some(true));
     }
 
     #[test]
