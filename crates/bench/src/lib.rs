@@ -8,8 +8,7 @@
 
 use coddb::{Database, Dialect};
 
-/// The engine benchmark query shapes, shared by the `engine_exec` /
-/// `bind_vs_walk` criterion benches and the `bench_engine` runner that
+/// The engine benchmark query shapes of the `bench_engine` runner, which
 /// records the checked-in perf trajectory (`BENCH_engine.json`) — one
 /// definition so the trajectory stays comparable across PRs.
 pub const QUERY_SHAPES: &[(&str, &str)] = &[

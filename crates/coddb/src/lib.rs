@@ -193,9 +193,10 @@
 //! genesis replay. The contract is exact, not best-effort: the chosen
 //! base must equal the writer-side ground truth
 //! ([`wal::Wal::durable_snapshot_stmts`] — the newest seal that reached
-//! the disk before the crash), and the checkpointed differential
-//! ([`recovery::recovery_divergence_checkpointed`]) reports a mismatch
-//! as a divergence even when the final state happens to agree.
+//! the disk before the crash), and the crash differential
+//! ([`recovery::recovery_divergence`] over a [`recovery::CrashScenario`])
+//! reports a mismatch as a divergence even when the final state happens
+//! to agree.
 //!
 //! **Checkpoint determinism.** Checkpoints are part of a scenario's
 //! coordinates: a checkpoint schedule is a sorted list of statement
@@ -260,11 +261,12 @@
 //! invent effects past the damage: salvaged state must equal **some**
 //! committed prefix of the original history.
 //!
-//! **The detect-or-identical oracle.** The media differential
-//! ([`recovery::recovery_divergence_media`]) holds every injected media
-//! fault to one standard: it must be *detected* (a scrub finding or a
-//! structured storage error) or *harmless* (recovery byte-identical to
-//! the committed-prefix reference). Detected-and-degraded is fine —
+//! **The detect-or-identical oracle.** The same differential
+//! ([`recovery::recovery_divergence`]), given a scenario with a media
+//! plan, holds every injected media fault to one standard: it must be
+//! *detected* (a scrub finding or a structured storage error) or
+//! *harmless* (recovery byte-identical to the committed-prefix
+//! reference). Detected-and-degraded is fine —
 //! that is what salvage is for — but **silent wrong recovery** (clean
 //! scrub, no error, divergent state) is always a finding, as is salvaged
 //! state matching no committed prefix. The [`bugs::MediaBugId`] mutants
@@ -342,8 +344,8 @@ pub use dialect::Dialect;
 pub use error::{Error, Result, Severity, StorageError, StorageFaultKind, StorageSite};
 pub use exec::{BindMode, EvalMode, JoinMode, ScanMode};
 pub use recovery::{
-    recover_with_policy, recovery_divergence_media, scrub_images, RecoveryPolicy, ScrubFinding,
-    ScrubReport,
+    recover_with_policy, recovery_divergence, scrub_images, CrashScenario, RecoveryPolicy,
+    ScrubFinding, ScrubReport,
 };
 pub use value::{DataType, Relation, Row, Value};
 pub use wal::{

@@ -1,94 +1,137 @@
 //! Crash recovery: load the newest sealed snapshot, then replay the WAL
 //! suffix into it.
 //!
-//! Recovery is three-phase, like a real checkpointing redo-WAL:
+//! Every storage read goes through one frame walker, `frames`: it is the
+//! only code that decodes the frame layout (`u32` length, `u32`
+//! checksum, payload) and classifies each frame as a verified record, a
+//! checksum mismatch, a torn payload or a dangling header. Its three
+//! readers differ only in what they do with the damage:
 //!
-//! 1. **Snapshot scan** ([`scan_snapshots`]) walks the snapshot file with
-//!    the same frame/checksum discipline as the log scan, groups frames
-//!    into [`Snapshot`]s (a `SnapshotBegin` … body … `SnapshotEnd` run is
-//!    *sealed* only when the end marker matches the begin marker's
-//!    `stmt_idx` and its declared record count), and recovery bases itself
-//!    on the **newest sealed** snapshot — an unsealed trailing snapshot is
-//!    a writer that died mid-checkpoint and must be ignored, falling back
-//!    to the previous sealed snapshot or genesis.
-//! 2. **Log scan** ([`scan_log`]) walks the surviving log image frame by
-//!    frame, verifying each record's length and checksum. The scan stops —
-//!    truncating the log — at the first incomplete header, truncated
-//!    payload, or checksum mismatch: everything past the damage is, by the
-//!    fault model, the torn tail of the crashing write.
-//! 3. **Replay** ([`replay_into`]) buffers effect records per statement
-//!    and applies them only when the statement's commit marker is reached;
-//!    commits the snapshot already covers (`stmt_idx <` the snapshot's
-//!    coverage) discard their effects instead of double-applying. Effects
-//!    whose commit never became durable are discarded — recovery
+//! 1. **Snapshot scan** ([`scan_snapshots`]) stops at the first damaged
+//!    frame and groups the records before it into [`Snapshot`]s: a
+//!    `SnapshotBegin` … body … `SnapshotEnd` run is *sealed* only when the
+//!    end marker matches the begin marker's `stmt_idx` and its declared
+//!    record count. Recovery bases itself on the **newest sealed**
+//!    snapshot; an unsealed trailing snapshot is a writer that died
+//!    mid-checkpoint and is ignored, falling back to the previous sealed
+//!    snapshot or genesis.
+//! 2. **Log scan** ([`scan_log`]) also stops — truncating the log — at
+//!    the first damaged frame: by the fault model, everything past it is
+//!    the torn tail of the crashing write. [`replay_into`] then buffers
+//!    effect records per statement and applies them only at the
+//!    statement's commit marker; commits the snapshot already covers
+//!    (`stmt_idx <` its coverage) are discarded instead of double-applied,
+//!    and effects whose commit never became durable are dropped. Recovery
 //!    reconstructs *exactly* the committed prefix, byte-identical to a
-//!    never-crashed engine that executed only those statements, whether
-//!    the base is a snapshot or genesis.
+//!    never-crashed engine that executed only those statements.
+//! 3. **Scrub** ([`scrub_images`]) reports the damage instead: each
+//!    finding is a *tail* artifact of an ordinary crash or mid-image
+//!    *damage*, and the snapshot records go through the same grouping as
+//!    the snapshot scan, which names every structural break.
 //!
-//! The [`RecoveryBugId`] mutants are seeded into these phases the way
-//! [`crate::bugs::BugId`] mutants are seeded into the planner/executor, so
-//! campaigns can hunt recovery bugs the way they hunt optimizer bugs.
+//! The crash differential ([`recovery_divergence`]) runs one
+//! [`CrashScenario`] — script, checkpoint schedule, crash plan, media plan
+//! — against a never-crashed reference of its committed prefix.
+//!
+//! The [`RecoveryBugId`] and [`MediaBugId`] mutants are seeded into these
+//! readers the way [`crate::bugs::BugId`] mutants are seeded into the
+//! planner/executor, so campaigns can hunt recovery bugs the way they
+//! hunt optimizer bugs.
 
+use crate::ast::Statement;
 use crate::bugs::{BugRegistry, MediaBugId, RecoveryBugId};
 use crate::database::Database;
 use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError, StorageFaultKind, StorageSite};
 use crate::value::Row;
 use crate::wal::{
-    checksum, decode_record, MediaMode, ReadFault, SimDisk, WalRecord, FRAME_HEADER, READ_RETRY_CAP,
+    checksum, decode_record, CrashSite, FaultPlan, MediaPlan, StorageMode, WalRecord, FRAME_HEADER,
+    READ_RETRY_CAP,
 };
+
+/// One frame of a storage image, as [`frames`] classifies it.
+enum Frame<'a> {
+    /// A verified frame (or, with verification off, an unchecked one):
+    /// its record, or why the payload does not decode.
+    Record(std::result::Result<WalRecord, String>),
+    /// A full-length frame whose checksum does not verify; the next frame
+    /// would start at byte `end`.
+    Corrupt { end: usize },
+    /// The payload is shorter than the `declared` length of its header.
+    /// Always the last frame.
+    Torn { declared: usize, present: &'a [u8] },
+    /// Fewer than [`FRAME_HEADER`] bytes remain. Always the last frame.
+    Dangling,
+}
+
+/// The one reader of the frame layout: yields each frame's byte offset
+/// and class, in image order. With `verify` off (a checksum-skipping
+/// mutant), a frame whose checksum mismatches decodes as if it verified.
+/// Callers decide whether a corrupt frame ends their walk.
+fn frames(image: &[u8], verify: bool) -> impl Iterator<Item = (usize, Frame<'_>)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        let at = pos;
+        let rest = image.get(at..).filter(|r| !r.is_empty())?;
+        if rest.len() < FRAME_HEADER {
+            pos = image.len();
+            return Some((at, Frame::Dangling));
+        }
+        let word = |i: usize| u32::from_le_bytes(rest[i..i + 4].try_into().expect("4 bytes"));
+        let (len, stored_sum) = (word(0) as usize, word(4));
+        let body = &rest[FRAME_HEADER..];
+        if body.len() < len {
+            pos = image.len();
+            return Some((
+                at,
+                Frame::Torn {
+                    declared: len,
+                    present: body,
+                },
+            ));
+        }
+        let payload = &body[..len];
+        pos = at + FRAME_HEADER + len;
+        if verify && checksum(payload) != stored_sum {
+            return Some((at, Frame::Corrupt { end: pos }));
+        }
+        Some((at, Frame::Record(decode_record(payload))))
+    })
+}
 
 /// Parse the surviving log image into the sequence of intact records,
 /// truncating at the first sign of damage.
 pub fn scan_log(image: &[u8], bugs: &BugRegistry) -> Result<Vec<WalRecord>> {
+    let torn_as_complete = bugs.recovery_active(RecoveryBugId::TornTailAsComplete);
+    let verify = !bugs.recovery_active(RecoveryBugId::SkipChecksumVerify);
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
-            // Dangling header bytes: the tail of a write that died before
-            // even its length prefix was complete.
-            if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
+    for (at, frame) in frames(image, verify) {
+        match frame {
+            Frame::Record(rec) => out.push(
+                rec.map_err(|e| Error::Internal(format!("wal scan: undecodable record: {e}")))?,
+            ),
+            // Mutant: salvage skips the damaged frame and keeps scanning,
+            // replaying records *past* the corruption — the suffix may now
+            // describe effects whose context is gone.
+            Frame::Corrupt { .. } if bugs.media_active(MediaBugId::SalvagePastCorruptCommit) => {}
+            // The crashing write landed full-length but damaged. Truncate
+            // here — salvage may drop a suffix, never replay across damage.
+            Frame::Corrupt { .. } => break,
+            // Mutant: the tail of a write that died mid-frame is decoded
+            // as a record.
+            Frame::Dangling if torn_as_complete => {
                 return Err(Error::Internal(format!(
                     "wal scan: {} dangling tail byte(s) decoded as a record",
-                    image.len() - pos
-                )));
+                    image.len() - at
+                )))
             }
-            break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
-            // Torn payload: the final frame is shorter than its own length
-            // prefix claims.
-            if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
-                let partial = &image[body_start..];
-                out.push(decode_record(partial).map_err(|e| {
+            Frame::Torn { present, .. } if torn_as_complete => {
+                out.push(decode_record(present).map_err(|e| {
                     Error::Internal(format!("wal scan: torn tail decoded as complete: {e}"))
-                })?);
+                })?)
             }
-            break;
+            Frame::Torn { .. } | Frame::Dangling => {}
         }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum
-            && !bugs.recovery_active(RecoveryBugId::SkipChecksumVerify)
-        {
-            if bugs.media_active(MediaBugId::SalvagePastCorruptCommit) {
-                // Mutant: salvage skips the damaged frame and keeps
-                // scanning, replaying records *past* the corruption — the
-                // suffix may now describe effects whose context is gone.
-                pos = body_start + len;
-                continue;
-            }
-            // Checksum mismatch: the crashing write landed full-length but
-            // damaged. Truncate here — salvage may drop a suffix, never
-            // replay across damage.
-            break;
-        }
-        let rec = decode_record(payload)
-            .map_err(|e| Error::Internal(format!("wal scan: undecodable record: {e}")))?;
-        out.push(rec);
-        pos = body_start + len;
     }
     Ok(out)
 }
@@ -108,68 +151,87 @@ pub struct Snapshot {
     pub sealed: bool,
 }
 
-/// Parse the snapshot file into its snapshots, oldest first. Uses the
-/// same frame discipline as [`scan_log`]: the walk truncates at the first
-/// damaged frame (which, by the fault model, can only be the trailing
-/// write of the crashing checkpoint). Stray frames outside a
-/// `SnapshotBegin`/`SnapshotEnd` pair are skipped — a hostile image must
-/// produce an error or a clean parse, never a panic.
+/// Parse the snapshot file into its snapshots, oldest first. The walk
+/// truncates at the first damaged frame (which, by the fault model, can
+/// only be the trailing write of the crashing checkpoint). Stray frames
+/// outside a `SnapshotBegin`/`SnapshotEnd` pair are skipped — a hostile
+/// image must produce an error or a clean parse, never a panic.
 pub fn scan_snapshots(image: &[u8], bugs: &BugRegistry) -> Result<Vec<Snapshot>> {
-    let mut out: Vec<Snapshot> = Vec::new();
+    let verify = !bugs.recovery_active(RecoveryBugId::SkipSnapshotChecksum);
+    let mut records = Vec::new();
+    for (_, frame) in frames(image, verify) {
+        let Frame::Record(rec) = frame else { break };
+        records.push(
+            rec.map_err(|e| Error::Internal(format!("snapshot scan: undecodable record: {e}")))?,
+        );
+    }
+    Ok(group_snapshots(records, |_, _, _| {}))
+}
+
+/// Group snapshot-file records into begin … body … seal runs, oldest
+/// first. Every break in that structure is reported to `flag` as
+/// `(record index, reason, tail)`; only a trailing unsealed group is a
+/// `tail` (crash) artifact.
+fn group_snapshots(
+    records: Vec<WalRecord>,
+    mut flag: impl FnMut(usize, String, bool),
+) -> Vec<Snapshot> {
+    let n = records.len();
+    let mut out = Vec::new();
     let mut open: Option<Snapshot> = None;
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
-            break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
-            // Torn trailing frame: the checkpoint writer died mid-write.
-            break;
-        }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum
-            && !bugs.recovery_active(RecoveryBugId::SkipSnapshotChecksum)
-        {
-            break;
-        }
-        let rec = decode_record(payload)
-            .map_err(|e| Error::Internal(format!("snapshot scan: undecodable record: {e}")))?;
-        pos = body_start + len;
+    for (i, rec) in records.into_iter().enumerate() {
         match rec {
             WalRecord::SnapshotBegin { stmt_idx } => {
-                // A begin while another snapshot is open abandons the open
-                // one (it never sealed).
-                if let Some(s) = open.take() {
-                    out.push(s);
-                }
-                open = Some(Snapshot {
+                let begun = Snapshot {
                     stmt_idx,
                     body: Vec::new(),
                     sealed: false,
-                });
-            }
-            WalRecord::SnapshotEnd { stmt_idx, records } => {
-                if let Some(mut s) = open.take() {
-                    s.sealed = s.stmt_idx == stmt_idx && s.body.len() as u64 == records;
+                };
+                // A begin while another snapshot is open abandons the open
+                // one (it never sealed).
+                if let Some(s) = open.replace(begun) {
+                    flag(
+                        i,
+                        "snapshot group abandoned by a new begin (never sealed)".into(),
+                        false,
+                    );
                     out.push(s);
                 }
-                // A stray end with no open snapshot is skipped.
             }
-            body => {
-                if let Some(s) = open.as_mut() {
-                    s.body.push(body);
+            WalRecord::SnapshotEnd { stmt_idx, records } => match open.take() {
+                Some(mut s) => {
+                    let count = s.body.len() as u64;
+                    s.sealed = s.stmt_idx == stmt_idx && count == records;
+                    if !s.sealed {
+                        flag(
+                            i,
+                            format!(
+                                "snapshot seal mismatch: begin stmt_idx={} with {count} \
+                                 record(s), seal declares stmt_idx={stmt_idx} with {records}",
+                                s.stmt_idx
+                            ),
+                            false,
+                        );
+                    }
+                    out.push(s);
                 }
-                // Body records outside a snapshot are skipped.
-            }
+                None => flag(i, "stray snapshot seal with no open group".into(), false),
+            },
+            body => match open.as_mut() {
+                Some(s) => s.body.push(body),
+                None => flag(i, "stray record outside any snapshot group".into(), false),
+            },
         }
     }
-    if let Some(s) = open.take() {
+    if let Some(s) = open {
+        flag(
+            n,
+            "trailing unsealed snapshot (writer died mid-checkpoint)".into(),
+            true,
+        );
         out.push(s);
     }
-    Ok(out)
+    out
 }
 
 /// Pick the recovery base among the scanned snapshots: the newest sealed
@@ -406,113 +468,247 @@ pub fn recover_detailed(
     Ok((db, info))
 }
 
+/// One crash scenario: `script` executed on a durable engine that
+/// checkpoints after each statement index in `checkpoints` (0-based;
+/// indices past the script are ignored), under a write-path crash `plan`
+/// and an orthogonal `media` plan. [`CrashScenario::default`] is the empty
+/// script with no checkpoint and no fault.
+#[derive(Debug, Clone)]
+pub struct CrashScenario {
+    pub script: Vec<Statement>,
+    pub checkpoints: Vec<usize>,
+    pub plan: FaultPlan,
+    pub media: MediaPlan,
+}
+
+impl Default for CrashScenario {
+    fn default() -> CrashScenario {
+        CrashScenario {
+            script: Vec::new(),
+            checkpoints: Vec::new(),
+            plan: FaultPlan::none(),
+            media: MediaPlan::none(),
+        }
+    }
+}
+
+impl CrashScenario {
+    /// Execute the scenario on a durable engine under `bugs`. Statement
+    /// and checkpoint errors are part of the scenario, not failures: the
+    /// returned engine's WAL holds the surviving images and the
+    /// writer-side ground truth.
+    pub fn run(&self, dialect: Dialect, bugs: &BugRegistry) -> Database {
+        run_durable(
+            &self.script,
+            &self.checkpoints,
+            &self.plan,
+            self.media,
+            None,
+            dialect,
+            bugs,
+        )
+    }
+
+    /// The plans, crash site and schedule, for divergence reports.
+    fn context(&self, crash_site: Option<CrashSite>) -> String {
+        let mut out = self.plan.describe();
+        if self.media.faults() {
+            out += &format!(", {}", self.media.describe());
+        }
+        if let Some(site) = crash_site {
+            out += &format!(", crashed during {}", site.label());
+        }
+        if !self.checkpoints.is_empty() {
+            out += &format!(", checkpoints after stmts {:?}", self.checkpoints);
+        }
+        out
+    }
+}
+
+/// The one durable script run: execute `script` under `plan` and `media`,
+/// checkpointing after the listed statements, and stop before the next
+/// statement once `stop_at` commits are durable.
+fn run_durable(
+    script: &[Statement],
+    checkpoints: &[usize],
+    plan: &FaultPlan,
+    media: MediaPlan,
+    stop_at: Option<u64>,
+    dialect: Dialect,
+    bugs: &BugRegistry,
+) -> Database {
+    let mut db = Database::with_bugs(dialect, bugs.clone());
+    db.set_storage_mode(StorageMode::Durable);
+    db.set_fault_plan(plan.clone());
+    db.set_media_plan(media);
+    for (i, s) in script.iter().enumerate() {
+        if stop_at.is_some() && db.wal().map(|w| w.committed_statements()) == stop_at {
+            break;
+        }
+        let _ = db.execute(s);
+        if checkpoints.contains(&i) {
+            let _ = db.checkpoint();
+        }
+    }
+    db
+}
+
+/// The committed-prefix reference: a never-crashed, never-checkpointed
+/// run of `script` stopped after `k` commits, or `None` when the script
+/// cannot reach `k`. Checkpointing is a pure storage-layer operation, so
+/// the state a recovery must match does not depend on it.
+fn committed_prefix(
+    script: &[Statement],
+    k: u64,
+    dialect: Dialect,
+    bugs: &BugRegistry,
+) -> Option<Database> {
+    let db = run_durable(
+        script,
+        &[],
+        &FaultPlan::none(),
+        MediaPlan::none(),
+        Some(k),
+        dialect,
+        bugs,
+    );
+    (db.wal().expect("durable").committed_statements() == k).then_some(db)
+}
+
 /// The crash-recovery differential, shared by the `recover` oracle and the
-/// reducer: execute `script` on a durable engine under `plan`, recover the
-/// surviving image, and compare against a never-crashed engine that
+/// reducer: run the scenario, let its media plan degrade the images at
+/// rest, recover them, and compare against a never-crashed engine that
 /// executed only the committed prefix. Returns `Some(detail)` when
-/// recovery diverges (wrong state or a recovery error), `None` when it is
-/// byte-identical.
+/// recovery diverges, `None` when the contract holds.
 ///
 /// Both executions run under the same `bugs` registry, so injected
 /// *engine* mutants corrupt both sides identically and cancel out; only
-/// *recovery* mutants (or a genuine recovery defect) can produce a
-/// divergence.
-pub fn recovery_divergence(
-    script: &[crate::ast::Statement],
-    plan: &crate::wal::FaultPlan,
-    dialect: Dialect,
-    bugs: &BugRegistry,
-) -> Option<String> {
-    recovery_divergence_checkpointed(script, &[], plan, dialect, bugs)
-}
-
-/// The checkpointed crash-recovery differential: like
-/// [`recovery_divergence`], but the faulted run calls
-/// [`Database::checkpoint`] after each statement index listed in
-/// `checkpoints` (0-based; indices past the script are ignored). The
-/// reference run never checkpoints — checkpointing is a pure storage-layer
-/// operation, so the committed-prefix state it must match is unchanged.
+/// recovery and media mutants (or a genuine recovery defect) can produce
+/// a divergence.
 ///
-/// Beyond the state diff, this also checks the snapshot contract against
-/// writer-side ground truth: recovery must base itself on exactly the
-/// newest snapshot whose seal became durable before the crash
-/// ([`crate::wal::Wal::durable_snapshot_stmts`]) — recovering correct
-/// bytes from genesis when a valid checkpoint survived (or from a stale
-/// or torn snapshot) is a divergence even if the final state matches.
-pub fn recovery_divergence_checkpointed(
-    script: &[crate::ast::Statement],
-    checkpoints: &[usize],
-    plan: &crate::wal::FaultPlan,
+/// The verdict rules:
+/// - Recovery must base itself on exactly the newest snapshot whose seal
+///   became durable ([`crate::wal::Wal::durable_snapshot_stmts`]):
+///   recovering correct bytes from genesis when a valid checkpoint
+///   survived (or from a stale or torn snapshot) is a divergence even if
+///   the final state matches.
+/// - A recovery error, or a state that differs from the committed prefix,
+///   is a divergence.
+/// - A media fault relaxes both rules only once it is *detected*. Scrub
+///   findings excuse a recovery error and a different base, and they
+///   allow a salvage that equals *some* shorter committed prefix. A read
+///   that must exceed the retry cap must fail, and must fail cleanly.
+///   Silent wrong recovery is always a divergence, as is a live writer
+///   that leaves the committed prefix after a disk-full append.
+///
+/// Without a media fault there is nothing to detect, so every rule is
+/// strict: scrub is not consulted.
+pub fn recovery_divergence(
+    scenario: &CrashScenario,
     dialect: Dialect,
     bugs: &BugRegistry,
 ) -> Option<String> {
-    let durable_run =
-        |plan: crate::wal::FaultPlan, ckpts: &[usize], stop_at: Option<u64>| -> Database {
-            let mut db = Database::with_bugs(dialect, bugs.clone());
-            db.set_storage_mode(crate::wal::StorageMode::Durable);
-            db.set_fault_plan(plan);
-            for (i, s) in script.iter().enumerate() {
-                if let Some(c) = stop_at {
-                    if db.wal().map(|w| w.committed_statements()) == Some(c) {
-                        break;
-                    }
-                }
-                let _ = db.execute(s);
-                if ckpts.contains(&i) {
-                    let _ = db.checkpoint();
-                }
-            }
-            db
-        };
-
-    let faulted = durable_run(plan.clone(), checkpoints, None);
-    let wal = faulted.wal().expect("durable");
+    let faulted = scenario.run(dialect, bugs);
+    let mut wal = faulted.wal().expect("durable").clone();
+    let context = scenario.context(wal.crash_site());
+    // At-rest degradation between shutdown and recovery: bit rot lands in
+    // the images and read faults arm on the faulted site's disk. A rot
+    // that restores the crashing frame makes it durable after all, and
+    // the writer's ground truth counts it.
+    wal.degrade_at_rest();
     let committed = wal.committed_statements();
-    let log_image = wal.image().to_vec();
-    let snap_image = wal.snapshot_image().to_vec();
     let durable_snap = wal.durable_snapshot_stmts();
-    let context = {
-        let site = wal
-            .crash_site()
-            .map(|s| format!(", crashed during {}", s.label()))
-            .unwrap_or_default();
-        let ckpts = if checkpoints.is_empty() {
-            String::new()
-        } else {
-            format!(", checkpoints after stmts {checkpoints:?}")
-        };
-        format!("{}{site}{ckpts}", plan.describe())
+    let Some(reference) = committed_prefix(&scenario.script, committed, dialect, bugs) else {
+        return Some(format!(
+            "reference run cannot reach {committed} commits ({context})"
+        ));
+    };
+    let want = reference.dump_state();
+
+    // Live-writer check: a media fault on the append path (disk full)
+    // must abort the statement cleanly — the serving engine stays exactly
+    // at the committed prefix. Only meaningful when the writer survived.
+    if scenario.media.faults() && !wal.crashed() {
+        let live = faulted.dump_state();
+        if live != want {
+            return Some(format!(
+                "writer state diverges from the committed prefix after a media fault \
+                 (committed={committed}, {context}):\n--- expected ---\n{want}\n--- live ---\n{live}"
+            ));
+        }
+    }
+
+    let must_fail = scenario.media.read_must_fail();
+    let read = wal
+        .read_log_image(bugs)
+        .map(<[u8]>::to_vec)
+        .and_then(|log| {
+            let snap = wal.read_snapshot_image(bugs)?.to_vec();
+            Ok((log, snap))
+        });
+    let (log, snap) = match read {
+        // The fault cannot heal within the bounded schedule, yet the read
+        // came back: the retry cap was ignored.
+        Ok(_) if must_fail => {
+            return Some(format!(
+                "retry contract violated: a read that must exceed the retry cap \
+                 (cap {READ_RETRY_CAP}) succeeded ({context})"
+            ))
+        }
+        Ok(images) => images,
+        // Graceful fail-stop on an unreadable medium: detected.
+        Err(_) if must_fail => return None,
+        // A transient fault within the retry budget must heal.
+        Err(e) => {
+            return Some(format!(
+                "recovery failed: {} ({context})",
+                Error::Storage(e)
+            ))
+        }
     };
 
-    let (recovered, info) = match recover_detailed(&log_image, &snap_image, dialect, bugs) {
+    let report = if scenario.media.faults() {
+        scrub_images(&log, &snap, bugs)
+    } else {
+        ScrubReport::default()
+    };
+    let (recovered, info) = match recover_detailed(&log, &snap, dialect, bugs) {
         Ok(x) => x,
+        // Fail-stop on damage scrub also saw: detected.
+        Err(_) if !report.clean() => return None,
         Err(e) => return Some(format!("recovery failed: {e} ({context})")),
     };
-
-    if info.snapshot_stmts != durable_snap {
+    // With findings, damage may legitimately have forced an older base.
+    if report.clean() && info.snapshot_stmts != durable_snap {
         return Some(format!(
             "recovery based itself on snapshot {:?} but the newest durable \
              snapshot covers {:?} ({context})",
             info.snapshot_stmts, durable_snap
         ));
     }
-
-    let reference = durable_run(crate::wal::FaultPlan::none(), &[], Some(committed));
-    let got_committed = reference.wal().expect("durable").committed_statements();
-    if got_committed != committed {
-        return Some(format!(
-            "reference run reached {got_committed} commits, expected {committed}"
-        ));
-    }
-    let want = reference.dump_state();
     let got = recovered.dump_state();
-    if want != got {
+    if got == want {
+        return None;
+    }
+    if report.clean() {
         return Some(format!(
             "recovered state diverges from the committed prefix \
              (committed={committed}, {context}):\n--- expected ---\n{want}\n--- recovered ---\n{got}",
         ));
     }
-    None
+    // Damage was detected and the full prefix is gone: the salvage must
+    // equal SOME shorter committed prefix — never a state no committed
+    // history ever produced.
+    let sound = (0..committed).rev().any(|k| {
+        committed_prefix(&scenario.script, k, dialect, bugs).is_some_and(|r| r.dump_state() == got)
+    });
+    (!sound).then(|| {
+        format!(
+            "salvage resurrected or corrupted state past the damage: recovered state \
+             matches no committed prefix (committed={committed}, {context}):\n\
+             --- committed prefix ---\n{want}\n--- recovered ---\n{got}"
+        )
+    })
 }
 
 /// One damaged or suspicious region found by [`scrub_images`].
@@ -557,80 +753,55 @@ impl ScrubReport {
     }
 }
 
-/// Walk one image frame by frame, verifying checksums, and decode what
-/// verifies. Returns the verified frame count plus the decoded records
-/// (for the snapshot structure pass); damage is appended to `findings`.
+/// Walk one image, appending its damage to `findings`, and return the
+/// records of the frames that verified.
 fn scrub_frames(
     site: StorageSite,
     image: &[u8],
     bugs: &BugRegistry,
     findings: &mut Vec<ScrubFinding>,
-) -> (usize, Vec<WalRecord>) {
-    let mut frames = 0usize;
+) -> Vec<WalRecord> {
+    let mut flag = |offset, reason, tail| {
+        findings.push(ScrubFinding {
+            site,
+            offset,
+            reason,
+            tail,
+        })
+    };
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: format!("dangling frame header ({} byte(s))", image.len() - pos),
-                tail: true,
-            });
-            break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: format!(
-                    "torn frame: payload declares {len} byte(s), {} present",
-                    image.len() - body_start
-                ),
-                tail: true,
-            });
-            break;
-        }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum && !bugs.media_active(MediaBugId::SkipScrubChecksum) {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: "frame checksum mismatch".into(),
-                tail: false,
-            });
-            let after = image.len() - (body_start + len);
-            if after > 0 {
-                findings.push(ScrubFinding {
-                    site,
-                    offset: body_start + len,
-                    reason: format!("unverifiable suffix ({after} byte(s) past damaged frame)"),
-                    tail: false,
-                });
-            }
-            break;
-        }
-        match decode_record(payload) {
-            Ok(rec) => {
-                frames += 1;
+    for (at, frame) in frames(image, !bugs.media_active(MediaBugId::SkipScrubChecksum)) {
+        match frame {
+            Frame::Record(Ok(rec)) => {
                 records.push(rec);
+                continue;
             }
-            Err(e) => {
-                findings.push(ScrubFinding {
-                    site,
-                    offset: pos,
-                    reason: format!("undecodable record: {e}"),
-                    tail: false,
-                });
-                break;
+            Frame::Record(Err(e)) => flag(at, format!("undecodable record: {e}"), false),
+            Frame::Corrupt { end } => {
+                flag(at, "frame checksum mismatch".into(), false);
+                if end < image.len() {
+                    let after = image.len() - end;
+                    let reason =
+                        format!("unverifiable suffix ({after} byte(s) past damaged frame)");
+                    flag(end, reason, false);
+                }
+            }
+            Frame::Torn { declared, present } => {
+                let reason = format!(
+                    "torn frame: payload declares {declared} byte(s), {} present",
+                    present.len()
+                );
+                flag(at, reason, true);
+            }
+            Frame::Dangling => {
+                let reason = format!("dangling frame header ({} byte(s))", image.len() - at);
+                flag(at, reason, true);
             }
         }
-        pos = body_start + len;
+        // Nothing past the first damaged frame can be verified.
+        break;
     }
-    (frames, records)
+    records
 }
 
 /// Verify every frame checksum in both images and every snapshot seal,
@@ -641,68 +812,19 @@ fn scrub_frames(
 /// [`MediaBugId::SkipScrubChecksum`] mutant hooks the checksum step.
 pub fn scrub_images(log_image: &[u8], snap_image: &[u8], bugs: &BugRegistry) -> ScrubReport {
     let mut findings = Vec::new();
-    let (log_frames, _) = scrub_frames(StorageSite::Log, log_image, bugs, &mut findings);
-    let (snapshot_frames, snap_records) =
-        scrub_frames(StorageSite::Snapshot, snap_image, bugs, &mut findings);
-
-    // Structure pass over the snapshot records: every group must be
-    // begin … body … matching seal. Only a *trailing* unsealed group is a
-    // crash artifact; anything else is damage.
-    let mut open: Option<(u64, u64)> = None; // (declared stmt_idx, body count)
-    for (i, rec) in snap_records.iter().enumerate() {
-        match rec {
-            WalRecord::SnapshotBegin { stmt_idx } => {
-                if open.is_some() {
-                    findings.push(ScrubFinding {
-                        site: StorageSite::Snapshot,
-                        offset: i,
-                        reason: "snapshot group abandoned by a new begin (never sealed)".into(),
-                        tail: false,
-                    });
-                }
-                open = Some((*stmt_idx, 0));
-            }
-            WalRecord::SnapshotEnd { stmt_idx, records } => match open.take() {
-                Some((begin, count)) => {
-                    if begin != *stmt_idx || count != *records {
-                        findings.push(ScrubFinding {
-                            site: StorageSite::Snapshot,
-                            offset: i,
-                            reason: format!(
-                                "snapshot seal mismatch: begin stmt_idx={begin} with {count} \
-                                 record(s), seal declares stmt_idx={stmt_idx} with {records}"
-                            ),
-                            tail: false,
-                        });
-                    }
-                }
-                None => findings.push(ScrubFinding {
-                    site: StorageSite::Snapshot,
-                    offset: i,
-                    reason: "stray snapshot seal with no open group".into(),
-                    tail: false,
-                }),
-            },
-            _ => match open.as_mut() {
-                Some((_, count)) => *count += 1,
-                None => findings.push(ScrubFinding {
-                    site: StorageSite::Snapshot,
-                    offset: i,
-                    reason: "stray record outside any snapshot group".into(),
-                    tail: false,
-                }),
-            },
-        }
-    }
-    if open.is_some() {
+    let log_frames = scrub_frames(StorageSite::Log, log_image, bugs, &mut findings).len();
+    let snap_records = scrub_frames(StorageSite::Snapshot, snap_image, bugs, &mut findings);
+    let snapshot_frames = snap_records.len();
+    // Structure pass: the snapshot scan's grouping names every break in
+    // the begin … body … seal runs, by record index.
+    group_snapshots(snap_records, |offset, reason, tail| {
         findings.push(ScrubFinding {
             site: StorageSite::Snapshot,
-            offset: snap_records.len(),
-            reason: "trailing unsealed snapshot (writer died mid-checkpoint)".into(),
-            tail: true,
-        });
-    }
-
+            offset,
+            reason,
+            tail,
+        })
+    });
     ScrubReport {
         log_frames,
         snapshot_frames,
@@ -747,208 +869,6 @@ pub fn recover_with_policy(
         }
     }
     recover_detailed(log_image, snap_image, dialect, bugs)
-}
-
-/// The media-fault differential: the detect-or-identical contract.
-///
-/// Execute `script` on a durable engine under both a write-path crash
-/// `plan` and an orthogonal media `plan` (at-rest bit rot, read faults
-/// with bounded retry, disk-full appends), then demand that every
-/// injected media fault is either **detected** (a scrub finding or a
-/// structured [`StorageError`]) or **harmless** (the live writer and the
-/// recovered engine are byte-identical to the committed-prefix oracle).
-/// When damage is detected and the recovered state is not the full
-/// prefix, the salvage must still equal *some* committed prefix — a
-/// recovered state matching no prefix means salvage resurrected or
-/// corrupted effects past the damage. Silent wrong recovery is the
-/// finding.
-pub fn recovery_divergence_media(
-    script: &[crate::ast::Statement],
-    checkpoints: &[usize],
-    plan: &crate::wal::FaultPlan,
-    media: &crate::wal::MediaPlan,
-    dialect: Dialect,
-    bugs: &BugRegistry,
-) -> Option<String> {
-    if !media.faults() {
-        return recovery_divergence_checkpointed(script, checkpoints, plan, dialect, bugs);
-    }
-    let durable_run = |plan: crate::wal::FaultPlan,
-                       media: crate::wal::MediaPlan,
-                       ckpts: &[usize],
-                       stop_at: Option<u64>|
-     -> Database {
-        let mut db = Database::with_bugs(dialect, bugs.clone());
-        db.set_storage_mode(crate::wal::StorageMode::Durable);
-        db.set_fault_plan(plan);
-        db.set_media_plan(media);
-        for (i, s) in script.iter().enumerate() {
-            if let Some(c) = stop_at {
-                if db.wal().map(|w| w.committed_statements()) == Some(c) {
-                    break;
-                }
-            }
-            let _ = db.execute(s);
-            if ckpts.contains(&i) {
-                let _ = db.checkpoint();
-            }
-        }
-        db
-    };
-
-    let faulted = durable_run(plan.clone(), *media, checkpoints, None);
-    let wal = faulted.wal().expect("durable");
-    let committed = wal.committed_statements();
-    let crashed = wal.crashed();
-    let durable_snap = wal.durable_snapshot_stmts();
-    let mut log_image = wal.image().to_vec();
-    let mut snap_image = wal.snapshot_image().to_vec();
-    let context = {
-        let site = wal
-            .crash_site()
-            .map(|s| format!(", crashed during {}", s.label()))
-            .unwrap_or_default();
-        let ckpts = if checkpoints.is_empty() {
-            String::new()
-        } else {
-            format!(", checkpoints after stmts {checkpoints:?}")
-        };
-        format!("{}, {}{site}{ckpts}", plan.describe(), media.describe())
-    };
-
-    // A clean engine executing the same script (same bugs registry, so
-    // engine mutants cancel out) with no faults, stopped after `k`
-    // commits: the committed-prefix oracle.
-    let reference = |k: u64| -> Option<Database> {
-        let db = durable_run(
-            crate::wal::FaultPlan::none(),
-            crate::wal::MediaPlan::none(),
-            &[],
-            Some(k),
-        );
-        (db.wal().expect("durable").committed_statements() == k).then_some(db)
-    };
-
-    // Live-writer check: a media fault on the append path (disk full)
-    // must abort the statement cleanly — the serving engine stays exactly
-    // at the committed prefix. Only meaningful when the writer survived.
-    if !crashed {
-        let Some(refdb) = reference(committed) else {
-            return Some(format!(
-                "reference run cannot reach {committed} commits ({context})"
-            ));
-        };
-        let want = refdb.dump_state();
-        let live = faulted.dump_state();
-        if live != want {
-            return Some(format!(
-                "writer state diverges from the committed prefix after a media fault \
-                 (committed={committed}, {context}):\n--- expected ---\n{want}\n--- live ---\n{live}"
-            ));
-        }
-    }
-
-    // At-rest degradation between shutdown and recovery: bit rot lands in
-    // the images, read faults arm on the faulted site's disk.
-    media.rot_images(&mut log_image, &mut snap_image);
-    let mut log_disk = SimDisk::from_bytes(log_image);
-    let mut snap_disk = SimDisk::from_bytes(snap_image);
-    let fault = match media.mode {
-        MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
-        MediaMode::PermanentRead => Some(ReadFault::Permanent),
-        _ => None,
-    };
-    match media.site {
-        StorageSite::Log => log_disk.set_read_fault(fault),
-        StorageSite::Snapshot => snap_disk.set_read_fault(fault),
-    }
-    let must_fail = media.read_must_fail();
-    let log_read = log_disk
-        .read_with_retry(StorageSite::Log, bugs)
-        .map(|b| b.to_vec());
-    let snap_read = snap_disk
-        .read_with_retry(StorageSite::Snapshot, bugs)
-        .map(|b| b.to_vec());
-    let (log_bytes, snap_bytes) = match (log_read, snap_read) {
-        (Ok(l), Ok(s)) => {
-            if must_fail {
-                // The fault cannot heal within the bounded schedule, yet
-                // the read came back: the retry cap was ignored.
-                return Some(format!(
-                    "retry contract violated: a read that must exceed the retry cap \
-                     (cap {READ_RETRY_CAP}) succeeded ({context})"
-                ));
-            }
-            (l, s)
-        }
-        (Err(e), _) | (_, Err(e)) => {
-            if must_fail {
-                // Graceful fail-stop on an unreadable medium: detected.
-                return None;
-            }
-            // A transient fault within the retry budget must heal.
-            return Some(format!(
-                "recovery failed: {} ({context})",
-                Error::Storage(e)
-            ));
-        }
-    };
-
-    let report = scrub_images(&log_bytes, &snap_bytes, bugs);
-
-    let (recovered, info) = match recover_detailed(&log_bytes, &snap_bytes, dialect, bugs) {
-        Ok(x) => x,
-        Err(e) => {
-            if !report.clean() {
-                // Fail-stop on damage scrub also saw: detected.
-                return None;
-            }
-            return Some(format!("recovery failed: {e} ({context})"));
-        }
-    };
-
-    let Some(refdb) = reference(committed) else {
-        return Some(format!(
-            "reference run cannot reach {committed} commits ({context})"
-        ));
-    };
-    let want = refdb.dump_state();
-    let got = recovered.dump_state();
-    if got == want {
-        // Harmless (byte-identical). With a clean scrub the snapshot base
-        // contract still applies; with findings, damage may legitimately
-        // have forced a different base.
-        if report.clean() && info.snapshot_stmts != durable_snap {
-            return Some(format!(
-                "recovery based itself on snapshot {:?} but the newest durable \
-                 snapshot covers {:?} ({context})",
-                info.snapshot_stmts, durable_snap
-            ));
-        }
-        return None;
-    }
-    if report.clean() {
-        return Some(format!(
-            "silent wrong recovery: media damage went undetected and recovery \
-             diverged from the committed prefix (committed={committed}, {context}):\n\
-             --- expected ---\n{want}\n--- recovered ---\n{got}"
-        ));
-    }
-    // Damage was detected and the full prefix is gone: the salvage must
-    // equal SOME shorter committed prefix — never a state no committed
-    // history ever produced.
-    for k in (0..committed).rev() {
-        if let Some(r) = reference(k) {
-            if r.dump_state() == got {
-                return None;
-            }
-        }
-    }
-    Some(format!(
-        "salvage resurrected or corrupted state past the damage: recovered state \
-         matches no committed prefix (committed={committed}, {context}):\n\
-         --- committed prefix ---\n{want}\n--- recovered ---\n{got}"
-    ))
 }
 
 #[cfg(test)]
@@ -1163,7 +1083,15 @@ mod tests {
             ] {
                 let plan = FaultPlan { crash_op: op, mode };
                 assert_eq!(
-                    recovery_divergence(&script, &plan, Dialect::Sqlite, &BugRegistry::none()),
+                    recovery_divergence(
+                        &CrashScenario {
+                            script: script.clone(),
+                            plan: plan.clone(),
+                            ..CrashScenario::default()
+                        },
+                        Dialect::Sqlite,
+                        &BugRegistry::none()
+                    ),
                     None,
                     "divergence at {plan:?}"
                 );
@@ -1265,10 +1193,13 @@ mod tests {
                 mode: FaultMode::Lost,
             };
             assert_eq!(
-                recovery_divergence_checkpointed(
-                    &script,
-                    &[1, 3],
-                    &plan,
+                recovery_divergence(
+                    &CrashScenario {
+                        script: script.clone(),
+                        checkpoints: vec![1, 3],
+                        plan: plan.clone(),
+                        ..CrashScenario::default()
+                    },
                     Dialect::Sqlite,
                     &BugRegistry::none()
                 ),
@@ -1534,10 +1465,13 @@ mod tests {
                     } else {
                         FaultPlan { crash_op: op, mode }
                     };
-                    if recovery_divergence_checkpointed(
-                        &script,
-                        &[1, 2],
-                        &plan,
+                    if recovery_divergence(
+                        &CrashScenario {
+                            script: script.clone(),
+                            checkpoints: vec![1, 2],
+                            plan,
+                            ..CrashScenario::default()
+                        },
                         Dialect::Sqlite,
                         &bugs,
                     )

@@ -747,6 +747,19 @@ pub struct Wal {
     last_snapshot_stmts: Option<u64>,
     crashed: bool,
     crash_site: Option<CrashSite>,
+    /// The frame the crashing append meant to write, kept whole: at-rest
+    /// damage that restores it on the medium makes it durable after all.
+    crash_frame: Option<CrashFrame>,
+}
+
+/// A frame the fault plan killed mid-write, as the writer meant it.
+#[derive(Debug, Clone)]
+struct CrashFrame {
+    site: CrashSite,
+    /// Byte offset of the frame on its disk.
+    at: usize,
+    frame: Vec<u8>,
+    rec: WalRecord,
 }
 
 impl Wal {
@@ -762,6 +775,7 @@ impl Wal {
             last_snapshot_stmts: None,
             crashed: false,
             crash_site: None,
+            crash_frame: None,
         }
     }
 
@@ -859,46 +873,55 @@ impl Wal {
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, checksum(&payload));
         frame.extend_from_slice(&payload);
+        let mode = self.plan.mode;
+        let disk = match site {
+            CrashSite::Log => &mut self.disk,
+            CrashSite::Snapshot => &mut self.snap,
+            CrashSite::Truncate => unreachable!("truncation writes no frame"),
+        };
 
         if op < self.plan.crash_op {
-            match site {
-                CrashSite::Log => self.disk.write(&frame),
-                CrashSite::Snapshot => self.snap.write(&frame),
-                CrashSite::Truncate => unreachable!("truncation writes no frame"),
-            }
-            match (site, rec) {
-                (CrashSite::Log, WalRecord::Commit { .. }) => self.committed += 1,
-                (CrashSite::Snapshot, WalRecord::SnapshotEnd { stmt_idx, .. }) => {
-                    self.last_snapshot_stmts = Some(*stmt_idx);
-                }
-                _ => {}
-            }
+            disk.write(&frame);
+            self.count_durable(site, rec);
             return Ok(());
         }
         // This append is the crash point: the simulated process dies
         // during the write. Nothing from this op counts as durable.
-        self.crashed = true;
-        self.crash_site = Some(site);
-        let written: Option<Vec<u8>> = match self.plan.mode {
-            FaultMode::Lost => None,
+        let at = disk.len();
+        match mode {
+            FaultMode::Lost => {}
             FaultMode::Torn { keep_sel } => {
                 let keep = 1 + (keep_sel as usize) % (frame.len() - 1);
-                Some(frame[..keep].to_vec())
+                disk.write(&frame[..keep]);
             }
             FaultMode::Corrupt { byte_sel } => {
-                let i = FRAME_HEADER + (byte_sel as usize) % payload.len();
-                frame[i] ^= 0x40;
-                Some(frame)
-            }
-        };
-        if let Some(bytes) = written {
-            match site {
-                CrashSite::Log => self.disk.write(&bytes),
-                CrashSite::Snapshot => self.snap.write(&bytes),
-                CrashSite::Truncate => unreachable!("truncation writes no frame"),
+                let mut damaged = frame.clone();
+                damaged[FRAME_HEADER + (byte_sel as usize) % payload.len()] ^= 0x40;
+                disk.write(&damaged);
             }
         }
+        self.crashed = true;
+        self.crash_site = Some(site);
+        self.crash_frame = Some(CrashFrame {
+            site,
+            at,
+            frame,
+            rec: rec.clone(),
+        });
         Ok(())
+    }
+
+    /// Ground truth for a frame that became durable: a commit marker
+    /// extends the committed prefix, a snapshot seal becomes the newest
+    /// durable snapshot.
+    fn count_durable(&mut self, site: CrashSite, rec: &WalRecord) {
+        match (site, rec) {
+            (CrashSite::Log, WalRecord::Commit { .. }) => self.committed += 1,
+            (CrashSite::Snapshot, WalRecord::SnapshotEnd { stmt_idx, .. }) => {
+                self.last_snapshot_stmts = Some(*stmt_idx);
+            }
+            _ => {}
+        }
     }
 
     /// Append one record to the log through the fault plan.
@@ -947,11 +970,19 @@ impl Wal {
     /// any read fault on the faulted site's disk. Models the time between
     /// shutdown and recovery; call once after the writer is done.
     pub fn degrade_at_rest(&mut self) {
-        let mut log = std::mem::take(&mut self.disk.data);
-        let mut snap = std::mem::take(&mut self.snap.data);
-        self.media.rot_images(&mut log, &mut snap);
-        self.disk.data = log;
-        self.snap.data = snap;
+        self.media
+            .rot_images(&mut self.disk.data, &mut self.snap.data);
+        // Rot that flips back the bit a corrupt crashing write flipped
+        // leaves that frame intact on the medium: it landed after all.
+        if let Some(c) = self.crash_frame.take() {
+            let disk = match c.site {
+                CrashSite::Snapshot => &self.snap,
+                _ => &self.disk,
+            };
+            if disk.data.get(c.at..c.at + c.frame.len()) == Some(&c.frame[..]) {
+                self.count_durable(c.site, &c.rec);
+            }
+        }
         let fault = match self.media.mode {
             MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
             MediaMode::PermanentRead => Some(ReadFault::Permanent),
@@ -1496,6 +1527,60 @@ mod tests {
             faulted.read_snapshot_image(&bugs).is_ok(),
             "other site unhurt"
         );
+    }
+
+    #[test]
+    fn rot_that_heals_a_corrupt_crashing_frame_counts_it_durable() {
+        // A corrupt crashing write on a commit marker and on a snapshot
+        // seal, then at-rest rot on exactly the bit the crash flipped (bit
+        // 6 of the damaged byte) and, as a control, on the next bit.
+        for site in [StorageSite::Log, StorageSite::Snapshot] {
+            for (bit_offset, heals) in [(6, true), (7, false)] {
+                let mut wal = Wal::new(FaultPlan {
+                    crash_op: 1,
+                    mode: FaultMode::Corrupt { byte_sel: 0 },
+                });
+                match site {
+                    StorageSite::Log => {
+                        wal.append(&WalRecord::Ddl { sql: "x".into() }).unwrap();
+                        wal.commit_statement().unwrap();
+                    }
+                    StorageSite::Snapshot => {
+                        let begin = WalRecord::SnapshotBegin { stmt_idx: 3 };
+                        wal.append_snapshot(&begin).unwrap();
+                        let seal = WalRecord::SnapshotEnd {
+                            stmt_idx: 3,
+                            records: 0,
+                        };
+                        wal.append_snapshot(&seal).unwrap();
+                    }
+                }
+                assert!(wal.crashed());
+                assert_eq!(wal.committed_statements(), 0);
+                assert_eq!(wal.durable_snapshot_stmts(), None);
+                // The crash flipped the first payload byte of the second
+                // frame.
+                let first_frame = match site {
+                    StorageSite::Log => encode_record(&WalRecord::Ddl { sql: "x".into() }).len(),
+                    StorageSite::Snapshot => {
+                        encode_record(&WalRecord::SnapshotBegin { stmt_idx: 3 }).len()
+                    }
+                };
+                let byte = 2 * FRAME_HEADER + first_frame;
+                wal.set_media_plan(MediaPlan {
+                    site,
+                    mode: MediaMode::Rot {
+                        bit_sel: (byte * 8 + bit_offset) as u64,
+                    },
+                });
+                wal.degrade_at_rest();
+                let landed = match site {
+                    StorageSite::Log => wal.committed_statements() == 1,
+                    StorageSite::Snapshot => wal.durable_snapshot_stmts() == Some(3),
+                };
+                assert_eq!(landed, heals, "{site:?}, rot bit {bit_offset}");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,7 @@
 
 use coddb::bugs::{BugRegistry, MediaBugId};
 use coddb::error::StorageSite;
-use coddb::recovery::{
-    recover_detailed, recovery_divergence, recovery_divergence_checkpointed,
-    recovery_divergence_media,
-};
+use coddb::recovery::{recover_detailed, recovery_divergence, CrashScenario};
 use coddb::wal::{FaultMode, FaultPlan, MediaMode, MediaPlan, StorageMode, READ_RETRY_CAP};
 use coddb::{ast::Statement, AccessMode, Database, Dialect, RecoveryBugId};
 
@@ -113,7 +110,12 @@ fn exhaustive_fault_grid_recovers_exactly_the_committed_prefix() {
         for op in 0..=total {
             for mode in modes_at(op) {
                 let plan = FaultPlan { crash_op: op, mode };
-                let diverged = recovery_divergence(&stmts, &plan, dialect, &BugRegistry::none());
+                let scenario = CrashScenario {
+                    script: stmts.clone(),
+                    plan: plan.clone(),
+                    ..CrashScenario::default()
+                };
+                let diverged = recovery_divergence(&scenario, dialect, &BugRegistry::none());
                 assert_eq!(
                     diverged,
                     None,
@@ -144,13 +146,13 @@ fn exhaustive_checkpointed_grid_recovers_exactly_the_committed_prefix() {
             for op in 0..=total {
                 for mode in modes_at(op) {
                     let plan = FaultPlan { crash_op: op, mode };
-                    let diverged = recovery_divergence_checkpointed(
-                        &stmts,
-                        checkpoints,
-                        &plan,
-                        dialect,
-                        &BugRegistry::none(),
-                    );
+                    let scenario = CrashScenario {
+                        script: stmts.clone(),
+                        checkpoints: checkpoints.to_vec(),
+                        plan: plan.clone(),
+                        ..CrashScenario::default()
+                    };
+                    let diverged = recovery_divergence(&scenario, dialect, &BugRegistry::none());
                     assert_eq!(
                         diverged,
                         None,
@@ -228,9 +230,13 @@ fn every_recovery_mutant_diverges_somewhere_in_the_grid() {
                     } else {
                         FaultPlan { crash_op: op, mode }
                     };
-                    if recovery_divergence_checkpointed(&stmts, checkpoints, &plan, dialect, &bugs)
-                        .is_some()
-                    {
+                    let scenario = CrashScenario {
+                        script: stmts.clone(),
+                        checkpoints: checkpoints.to_vec(),
+                        plan,
+                        ..CrashScenario::default()
+                    };
+                    if recovery_divergence(&scenario, dialect, &bugs).is_some() {
                         hit = true;
                         break 'grid;
                     }
@@ -290,14 +296,13 @@ fn exhaustive_media_grid_is_detected_or_identical() {
     for dialect in DIALECTS {
         let total = total_ops_with(&stmts, dialect, checkpoints);
         for media in media_cells(total) {
-            let diverged = recovery_divergence_media(
-                &stmts,
-                checkpoints,
-                &FaultPlan::none(),
-                &media,
-                dialect,
-                &BugRegistry::none(),
-            );
+            let scenario = CrashScenario {
+                script: stmts.clone(),
+                checkpoints: checkpoints.to_vec(),
+                media,
+                ..CrashScenario::default()
+            };
+            let diverged = recovery_divergence(&scenario, dialect, &BugRegistry::none());
             assert_eq!(
                 diverged,
                 None,
@@ -344,14 +349,13 @@ fn crash_and_media_faults_compose_in_the_same_grid() {
                     mode: MediaMode::NoSpace { at_op: op / 2 },
                 },
             ] {
-                let diverged = recovery_divergence_media(
-                    &stmts,
-                    checkpoints,
-                    &plan,
-                    &media,
-                    dialect,
-                    &BugRegistry::none(),
-                );
+                let scenario = CrashScenario {
+                    script: stmts.clone(),
+                    checkpoints: checkpoints.to_vec(),
+                    plan: plan.clone(),
+                    media,
+                };
+                let diverged = recovery_divergence(&scenario, dialect, &BugRegistry::none());
                 assert_eq!(
                     diverged,
                     None,
@@ -377,31 +381,27 @@ fn every_media_mutant_diverges_somewhere_in_the_media_grid() {
         let bugs = BugRegistry::only_media(bug);
         let mut witness = None;
         for media in media_cells(total) {
-            if recovery_divergence_media(
-                &stmts,
-                checkpoints,
-                &FaultPlan::none(),
-                &media,
-                dialect,
-                &bugs,
-            )
-            .is_some()
-            {
+            let scenario = CrashScenario {
+                script: stmts.clone(),
+                checkpoints: checkpoints.to_vec(),
+                media,
+                ..CrashScenario::default()
+            };
+            if recovery_divergence(&scenario, dialect, &bugs).is_some() {
                 witness = Some(media);
                 break;
             }
         }
         let media = witness
             .unwrap_or_else(|| panic!("{} never diverged across the media grid", bug.name()));
+        let scenario = CrashScenario {
+            script: stmts.clone(),
+            checkpoints: checkpoints.to_vec(),
+            media,
+            ..CrashScenario::default()
+        };
         assert_eq!(
-            recovery_divergence_media(
-                &stmts,
-                checkpoints,
-                &FaultPlan::none(),
-                &media,
-                dialect,
-                &BugRegistry::none(),
-            ),
+            recovery_divergence(&scenario, dialect, &BugRegistry::none()),
             None,
             "{}: witness cell {} also fails on a clean engine",
             bug.name(),
@@ -428,8 +428,14 @@ fn engine_mutants_cancel_out_of_the_checkpointed_differential() {
                 } else {
                     FaultPlan { crash_op: op, mode }
                 };
+                let scenario = CrashScenario {
+                    script: stmts.clone(),
+                    checkpoints: checkpoints.to_vec(),
+                    plan,
+                    ..CrashScenario::default()
+                };
                 assert_eq!(
-                    recovery_divergence_checkpointed(&stmts, checkpoints, &plan, dialect, &bugs),
+                    recovery_divergence(&scenario, dialect, &bugs),
                     None,
                     "engine mutant leaked into the checkpointed differential at op {op}"
                 );
@@ -493,8 +499,13 @@ fn indexed_table_grid_recovers_and_seeks_match_scan_only() {
                 crash_op: op,
                 mode: FaultMode::Lost,
             };
+            let scenario = CrashScenario {
+                script: stmts.clone(),
+                plan: plan.clone(),
+                ..CrashScenario::default()
+            };
             assert_eq!(
-                recovery_divergence(&stmts, &plan, dialect, &BugRegistry::none()),
+                recovery_divergence(&scenario, dialect, &BugRegistry::none()),
                 None,
                 "{dialect}: indexed-table recovery diverged under {}",
                 plan.describe()

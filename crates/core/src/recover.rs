@@ -2,15 +2,16 @@
 //!
 //! Each test is a self-contained crash scenario: generate a schema-plus-
 //! data script with a DML tail, draw a deterministic checkpoint schedule
-//! (0–2 [`Database::checkpoint`] calls at seeded statement positions),
+//! (0–2 [`coddb::Database::checkpoint`] calls at seeded statement positions),
 //! count the WAL operations the checkpointed run produces, draw a
 //! deterministic [`FaultPlan`] over that range — so seeded crashes land
 //! inside snapshot writes and the truncation step, not just DML traffic —
-//! and check, via
-//! [`coddb::recovery::recovery_divergence_checkpointed`], that recovering
-//! the surviving snapshot + log-suffix images reconstructs *exactly* the
+//! and a seeded [`MediaPlan`], and check, via
+//! [`coddb::recovery::recovery_divergence`], that recovering the
+//! surviving snapshot + log-suffix images reconstructs *exactly* the
 //! committed prefix a never-crashed engine would hold, from exactly the
-//! newest durable snapshot.
+//! newest durable snapshot — or, under a media fault, that the damage is
+//! detected.
 //!
 //! The session's [`coddb::BugRegistry`] rides along into both sides of
 //! the differential: injected *engine* mutants corrupt the faulted run
@@ -26,9 +27,8 @@
 //! and every finding records both seeds.
 
 use coddb::ast::{Expr, InsertSource, Statement};
-use coddb::recovery::recovery_divergence_media;
-use coddb::wal::{FaultPlan, MediaPlan, StorageMode};
-use coddb::Database;
+use coddb::recovery::{recovery_divergence, CrashScenario};
+use coddb::wal::{FaultPlan, MediaPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use sqlgen::state::{generate_state, random_value};
@@ -149,22 +149,19 @@ impl Oracle for Recover {
         // Count the crash points this scenario exposes: a durable dry run
         // under the same mutants and the same checkpoint schedule, no
         // faults — snapshot frames and truncations count as ops too.
-        let mut probe = Database::with_bugs(dialect, bugs.clone());
-        probe.set_storage_mode(StorageMode::Durable);
-        for (i, s) in script.iter().enumerate() {
-            let _ = probe.execute(s);
-            if checkpoints.contains(&i) {
-                let _ = probe.checkpoint();
-            }
-        }
-        let total_ops = probe.wal().expect("durable").ops();
+        let mut scenario = CrashScenario {
+            script,
+            checkpoints,
+            ..CrashScenario::default()
+        };
+        let total_ops = scenario.run(dialect, &bugs).wal().expect("durable").ops();
         if total_ops == 0 {
             return TestOutcome::Skipped("script produced no durable operations".into());
         }
 
-        let plan = FaultPlan::seeded(fault_seed, total_ops);
-        let mplan = MediaPlan::seeded(media_seed, total_ops);
-        match recovery_divergence_media(&script, &checkpoints, &plan, &mplan, dialect, &bugs) {
+        scenario.plan = FaultPlan::seeded(fault_seed, total_ops);
+        scenario.media = MediaPlan::seeded(media_seed, total_ops);
+        match recovery_divergence(&scenario, dialect, &bugs) {
             None => TestOutcome::Pass,
             Some(detail) => {
                 // A recovery *error* is always a bug here — unlike query
@@ -180,16 +177,18 @@ impl Oracle for Recover {
                 TestOutcome::Bug(BugReport {
                     oracle: "recover",
                     kind,
-                    queries: script
+                    queries: scenario
+                        .script
                         .iter()
                         .map(|s| ("script".into(), s.to_string()))
                         .collect(),
                     detail: format!(
                         "{detail}\nrepro: script_seed={script_seed:#x} fault_seed={fault_seed:#x} \
                          ckpt_seed={ckpt_seed:#x} media_seed={media_seed:#x} {} \
-                         checkpoints={checkpoints:?}\n{}",
-                        plan.describe(),
-                        mplan.describe()
+                         checkpoints={:?}\n{}",
+                        scenario.plan.describe(),
+                        scenario.checkpoints,
+                        scenario.media.describe()
                     ),
                 })
             }
@@ -226,7 +225,7 @@ impl Oracle for PanicProbe {
 mod tests {
     use super::*;
     use coddb::bugs::BugRegistry;
-    use coddb::Dialect;
+    use coddb::{Database, Dialect};
 
     #[test]
     fn clean_engine_passes_many_seeded_scenarios() {

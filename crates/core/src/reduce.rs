@@ -12,14 +12,14 @@
 //!
 //! Crash-recovery findings reduce through the same discipline
 //! ([`reduce_recovery`]): drop script statements, drop checkpoint
-//! positions, and simplify the [`FaultPlan`] while the case still
-//! *recovers incorrectly* — the recovered state diverges from the
-//! committed prefix — under the given mutants and recovers correctly on a
-//! clean engine.
+//! positions, and simplify the [`FaultPlan`] and [`MediaPlan`] of a
+//! [`CrashScenario`] while it still *recovers incorrectly* — the crash
+//! differential reports a divergence — under the given mutants and
+//! recovers correctly on a clean engine.
 
 use coddb::ast::{Expr, Select, Statement};
 use coddb::bugs::BugRegistry;
-use coddb::recovery::recovery_divergence_media;
+use coddb::recovery::{recovery_divergence, CrashScenario};
 use coddb::value::Value;
 use coddb::wal::{FaultMode, FaultPlan, MediaMode, MediaPlan};
 use coddb::{Database, Dialect};
@@ -115,69 +115,16 @@ pub fn reduce(case: &ReducibleCase, dialect: Dialect, bugs: &BugRegistry) -> Red
     current
 }
 
-/// A reducible crash-recovery case: the executed script, the checkpoint
-/// schedule (statement indices after which the run checkpointed), and the
-/// fault plan that crashed it.
-#[derive(Debug, Clone)]
-pub struct RecoveryCase {
-    pub script: Vec<Statement>,
-    /// 0-based statement indices after which [`coddb::Database::checkpoint`]
-    /// ran; empty for a genesis-replay case.
-    pub checkpoints: Vec<usize>,
-    pub plan: FaultPlan,
-    /// The orthogonal media-fault axis (at-rest rot, read faults,
-    /// disk-full appends); [`MediaPlan::none`] for a pure crash case.
-    pub media: MediaPlan,
-}
-
-impl RecoveryCase {
-    /// Total size proxy: statement count, then checkpoint count, then a
-    /// small penalty for a crash plan more complex than a clean lost
-    /// write, then one for any media fault beyond a plain disk-full.
-    pub fn size(&self) -> usize {
-        let mode_cost = match self.plan.mode {
-            _ if !self.plan.crashes() => 0,
-            FaultMode::Lost => 1,
-            FaultMode::Torn { .. } | FaultMode::Corrupt { .. } => 2,
-        };
-        let media_cost = match self.media.mode {
-            MediaMode::None => 0,
-            MediaMode::NoSpace { .. } => 1,
-            MediaMode::Rot { .. } | MediaMode::TransientRead { .. } | MediaMode::PermanentRead => 2,
-        };
-        self.script.len() * 100 + self.checkpoints.len() * 10 + mode_cost + media_cost
-    }
-}
-
-/// Does the case still *recover incorrectly* — mirror of [`still_failing`]
-/// for crash-recovery findings?
+/// Does the scenario still *recover incorrectly* — mirror of
+/// [`still_failing`] for crash-recovery findings?
 ///
 /// 1. under `bugs`, recovery of the crashed script diverges from the
 ///    committed prefix, and
 /// 2. on a clean engine the same scenario recovers exactly (otherwise the
 ///    shrink produced a script that fails for an unrelated reason).
-pub fn recovery_still_failing(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry) -> bool {
-    // `recovery_divergence_media` delegates to the pure checkpointed
-    // differential when the case carries no media fault, so one entry
-    // point serves both kinds of case.
-    recovery_divergence_media(
-        &case.script,
-        &case.checkpoints,
-        &case.plan,
-        &case.media,
-        dialect,
-        bugs,
-    )
-    .is_some()
-        && recovery_divergence_media(
-            &case.script,
-            &case.checkpoints,
-            &case.plan,
-            &case.media,
-            dialect,
-            &BugRegistry::none(),
-        )
-        .is_none()
+pub fn recovery_still_failing(case: &CrashScenario, dialect: Dialect, bugs: &BugRegistry) -> bool {
+    recovery_divergence(case, dialect, bugs).is_some()
+        && recovery_divergence(case, dialect, &BugRegistry::none()).is_none()
 }
 
 /// Fault plans simpler than `plan`, most-simple first: no crash at all,
@@ -243,10 +190,14 @@ fn simpler_media(media: &MediaPlan) -> Vec<MediaPlan> {
     out
 }
 
-/// Reduce a failing crash-recovery case to a (locally) minimal one,
-/// shrinking both the script and the fault plan. The result is guaranteed
-/// to still recover incorrectly.
-pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry) -> RecoveryCase {
+/// Reduce a failing crash scenario to a (locally) minimal one, shrinking
+/// the script, the checkpoint schedule and both fault plans. The result
+/// is guaranteed to still recover incorrectly.
+pub fn reduce_recovery(
+    case: &CrashScenario,
+    dialect: Dialect,
+    bugs: &BugRegistry,
+) -> CrashScenario {
     assert!(
         recovery_still_failing(case, dialect, bugs),
         "cannot reduce a passing case"
@@ -309,7 +260,7 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
         // Phase 3: simplify the fault plan (first — i.e. simplest —
         // candidate that still fails wins).
         for plan in simpler_plans(&current.plan) {
-            let candidate = RecoveryCase {
+            let candidate = CrashScenario {
                 plan,
                 ..current.clone()
             };
@@ -322,7 +273,7 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
 
         // Phase 4: simplify the media plan the same way.
         for media in simpler_media(&current.media) {
-            let candidate = RecoveryCase {
+            let candidate = CrashScenario {
                 media,
                 ..current.clone()
             };
@@ -425,6 +376,24 @@ mod tests {
     use coddb::parser::{parse_select, parse_statements};
     use coddb::BugId;
 
+    /// Size proxy of a crash scenario: statement count, then checkpoint
+    /// count, then a small penalty for a crash plan more complex than a
+    /// clean lost write, then one for any media fault beyond a plain
+    /// disk-full.
+    fn size(case: &CrashScenario) -> usize {
+        let mode_cost = match case.plan.mode {
+            _ if !case.plan.crashes() => 0,
+            FaultMode::Lost => 1,
+            FaultMode::Torn { .. } | FaultMode::Corrupt { .. } => 2,
+        };
+        let media_cost = match case.media.mode {
+            MediaMode::None => 0,
+            MediaMode::NoSpace { .. } => 1,
+            MediaMode::Rot { .. } | MediaMode::TransientRead { .. } | MediaMode::PermanentRead => 2,
+        };
+        case.script.len() * 100 + case.checkpoints.len() * 10 + mode_cost + media_cost
+    }
+
     /// A hand-built failing case with redundant setup for the Listing-1
     /// mutant.
     fn listing1_case() -> ReducibleCase {
@@ -495,7 +464,7 @@ mod tests {
     #[test]
     fn recovery_reduction_shrinks_script_and_fault_plan() {
         let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::ReplayUncommitted);
-        let case = RecoveryCase {
+        let case = CrashScenario {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
                  INSERT INTO t VALUES (1);
@@ -532,7 +501,7 @@ mod tests {
             },
             "the corrupt write should downgrade to the earliest lost commit"
         );
-        assert!(reduced.size() < case.size());
+        assert!(size(&reduced) < size(&case));
     }
 
     /// The drop-last-commit mutant diverges with no crash at all; the
@@ -541,7 +510,7 @@ mod tests {
     #[test]
     fn recovery_reduction_drops_unrelated_statements() {
         let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::DropLastCommit);
-        let case = RecoveryCase {
+        let case = CrashScenario {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
                  INSERT INTO t VALUES (1);
@@ -572,7 +541,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot reduce a passing case")]
     fn reducing_a_passing_recovery_case_panics() {
-        let case = RecoveryCase {
+        let case = CrashScenario {
             script: parse_statements("CREATE TABLE t (a INT)").unwrap(),
             checkpoints: vec![],
             plan: FaultPlan::none(),
@@ -587,7 +556,7 @@ mod tests {
     #[test]
     fn recovery_reduction_shrinks_the_checkpoint_axis() {
         let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::StaleSnapshotPreferred);
-        let case = RecoveryCase {
+        let case = CrashScenario {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
                  INSERT INTO t VALUES (1);
@@ -603,7 +572,7 @@ mod tests {
         assert!(recovery_still_failing(&case, Dialect::Sqlite, &bugs));
         let reduced = reduce_recovery(&case, Dialect::Sqlite, &bugs);
         assert!(recovery_still_failing(&reduced, Dialect::Sqlite, &bugs));
-        assert!(reduced.size() < case.size());
+        assert!(size(&reduced) < size(&case));
         assert!(
             reduced.script.len() < case.script.len(),
             "script should shrink: {:?}",
@@ -641,7 +610,7 @@ mod tests {
         use coddb::error::StorageSite;
         use coddb::wal::READ_RETRY_CAP;
         let bugs = BugRegistry::only_media(coddb::bugs::MediaBugId::RetryCapIgnored);
-        let case = RecoveryCase {
+        let case = CrashScenario {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
                  INSERT INTO t VALUES (1);
@@ -674,7 +643,7 @@ mod tests {
                 .map(|s| s.to_string())
                 .collect::<Vec<_>>()
         );
-        assert!(reduced.size() < case.size());
+        assert!(size(&reduced) < size(&case));
     }
 
     #[test]

@@ -188,3 +188,24 @@ fn recover_campaigns_are_parallel_deterministic() {
         assert_eq!(a.report.detail, b.report.detail);
     }
 }
+
+/// At-rest bit rot that flips back the very bit a corrupt crashing write
+/// flipped leaves that frame intact on the medium, so recovery rightly
+/// replays it. The differential's ground truth must count it as landed.
+/// Each coordinate below is the one such case in a clean 30,000-test
+/// SQLite campaign at that seed: a healed commit marker in the log image
+/// (seeds 1 and 5) and a healed snapshot seal (seed 10).
+#[test]
+fn rot_that_heals_a_crashing_frame_raises_no_false_alarm() {
+    for (seed, state_idx, test_idx) in [(1, 1248, 5), (5, 869, 15), (10, 137, 16)] {
+        let cfg = CampaignConfig {
+            seed,
+            tests: 30_000,
+            ..CampaignConfig::new(Dialect::Sqlite)
+        };
+        assert!(
+            !rerun_test("recover", &cfg, state_idx, test_idx, &BugRegistry::none()),
+            "clean engine diverged at seed {seed}, ({state_idx}, {test_idx})"
+        );
+    }
+}

@@ -21,12 +21,12 @@
 
 use coddb::bugs::BugRegistry;
 use coddb::recovery::{
-    recover_detailed, recover_with_policy, recovery_divergence_checkpointed, scrub_images,
+    recover_detailed, recover_with_policy, recovery_divergence, scrub_images, CrashScenario,
     RecoveryPolicy,
 };
 use coddb::wal::{FaultMode, FaultPlan, MediaPlan, StorageMode, FRAME_HEADER};
 use coddb::{Database, Dialect, MediaBugId, RecoveryBugId};
-use coddtest::reduce::{recovery_still_failing, reduce_recovery, RecoveryCase};
+use coddtest::reduce::{recovery_still_failing, reduce_recovery};
 use coddtest::runner::{attribute_bugs, run_campaign, CampaignConfig};
 
 fn main() {
@@ -140,7 +140,7 @@ fn main() {
     //    checkpoints, and simplify the fault plan while recovery still
     //    diverges. The stale-snapshot mutant needs two checkpoints to
     //    misbehave, so reduction must keep exactly two.
-    let case = RecoveryCase {
+    let case = CrashScenario {
         script: coddb::parser::parse_statements(
             "CREATE TABLE t (a INT);
              INSERT INTO t VALUES (1);
@@ -171,14 +171,7 @@ fn main() {
     for s in &reduced.script {
         println!("  {s};");
     }
-    assert!(recovery_divergence_checkpointed(
-        &reduced.script,
-        &reduced.checkpoints,
-        &reduced.plan,
-        Dialect::Sqlite,
-        &bugs
-    )
-    .is_some());
+    assert!(recovery_divergence(&reduced, Dialect::Sqlite, &bugs).is_some());
     println!("\nreduced scenario still recovers incorrectly.\n");
 
     // 6. The media-fault axis: rot a bit in the *at-rest* log image — the

@@ -8,6 +8,8 @@
 //! answered with `Ok` (clean truncation at the first damaged frame) or a
 //! structured `Err` — the scan/replay layer must not index out of bounds,
 //! overflow a length read, or over-allocate on a hostile frame header.
+//! One exhaustive property also holds the three readers of the frame
+//! format to the same verdict on where damage starts.
 
 use proptest::prelude::*;
 
@@ -34,6 +36,61 @@ fn genuine_images(seed: u64) -> (Vec<u8>, Vec<u8>) {
     .unwrap();
     let w = db.wal().unwrap();
     (w.image().to_vec(), w.snapshot_image().to_vec())
+}
+
+/// Frames `scan_snapshots` consumed before it stopped: every begin, body
+/// record and seal of the snapshots it returned. Exact on images whose
+/// intact frames are all genuine, where nothing is skipped as stray.
+fn snapshot_frames_scanned(snap: &[u8]) -> usize {
+    scan_snapshots(snap, &BugRegistry::none())
+        .unwrap()
+        .iter()
+        .map(|s| 1 + s.body.len() + usize::from(s.sealed))
+        .sum()
+}
+
+#[test]
+fn the_readers_agree_on_where_damage_starts() {
+    // Every truncation and every single-bit flip of each dialect's genuine
+    // images: the log scan and scrub must verify the same number of log
+    // frames, and the snapshot scan and scrub the same number of snapshot
+    // frames.
+    let bugs = BugRegistry::none();
+    for seed in 0..Dialect::ALL.len() as u64 {
+        let (log, snap) = genuine_images(seed);
+        let mut variants: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for cut in 0..=log.len() {
+            variants.push((log[..cut].to_vec(), snap.clone()));
+        }
+        for cut in 0..=snap.len() {
+            variants.push((log.clone(), snap[..cut].to_vec()));
+        }
+        for bit in 0..log.len() * 8 {
+            let mut flipped = log.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            variants.push((flipped, snap.clone()));
+        }
+        for bit in 0..snap.len() * 8 {
+            let mut flipped = snap.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            variants.push((log.clone(), flipped));
+        }
+        for (l, s) in &variants {
+            let report = scrub_images(l, s, &bugs);
+            assert_eq!(
+                scan_log(l, &bugs).unwrap().len(),
+                report.log_frames,
+                "log scan and scrub disagree: {:?}",
+                report.findings
+            );
+            assert_eq!(
+                snapshot_frames_scanned(s),
+                report.snapshot_frames,
+                "snapshot scan and scrub disagree: {:?}",
+                report.findings
+            );
+        }
+    }
 }
 
 proptest! {
